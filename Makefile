@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench-parallel bench-smoke bench-json bench-compare loadsmoke lint vulncheck check
+.PHONY: build test vet race perfbench-test bench-parallel bench-smoke bench-json bench-compare loadsmoke lint vulncheck check
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ vet:
 # predict-vs-retrain stress test in internal/provider.
 race:
 	$(GO) test -race ./...
+
+# Builds the benchmark harness (perfbench/, a module of its own that the
+# root ./... does not reach) and runs its self-tests, so a storage or
+# provider API change that breaks the benchmark's build fails here. -short
+# skips the smoke run of every workload.
+perfbench-test:
+	$(GO) -C perfbench test -short ./...
 
 # One pass of the parallel PREDICTION JOIN benchmark (workers=1/2/4/8),
 # reporting rows/sec. Numbers are recorded in EXPERIMENTS.md.
@@ -76,4 +83,4 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-check: lint vulncheck race bench-parallel
+check: lint vulncheck race perfbench-test bench-parallel

@@ -652,35 +652,13 @@ func (e *Engine) execDelete(st *DeleteStmt) (*rowset.Rowset, error) {
 		tbl.Truncate()
 		return affected(n)
 	}
-	cur := tbl.Cursor()
-	defer cur.Close() //nolint:errcheck // table cursors never fail to close
 	env := &Env{Schema: tbl.Schema()}
-	var keep []rowset.Row
-	removed := 0
-	for {
-		r, err := cur.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			break
-		}
+	removed, err := tbl.Rewrite(writeProbe(tbl, st.Where), func(r rowset.Row) (rowset.Row, bool, error) {
 		env.Row = r
-		v, err := Eval(st.Where, env)
-		if err != nil {
-			return nil, err
-		}
-		ok, err := Truthy(v)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			removed++
-		} else {
-			keep = append(keep, r)
-		}
-	}
-	if err := tbl.Replace(keep); err != nil {
+		match, err := evalCond(st.Where, env)
+		return nil, match, err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return affected(removed)
@@ -701,47 +679,49 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*rowset.Rowset, error) {
 		}
 		setOrds[i] = o
 	}
-	cur := tbl.Cursor()
-	defer cur.Close() //nolint:errcheck // table cursors never fail to close
-	rows := make([]rowset.Row, 0, cursorSize(cur))
-	n := 0
-	for {
-		r, err := cur.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			break
-		}
-		match := true
+	n, err := tbl.Rewrite(writeProbe(tbl, st.Where), func(r rowset.Row) (rowset.Row, bool, error) {
 		env.Row = r
 		if st.Where != nil {
-			v, err := Eval(st.Where, env)
-			if err != nil {
-				return nil, err
+			match, err := evalCond(st.Where, env)
+			if err != nil || !match {
+				return nil, false, err
 			}
-			match, err = Truthy(v)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !match {
-			rows = append(rows, r)
-			continue
 		}
 		nr := r.Clone()
 		for j, sc := range st.Set {
 			v, err := Eval(sc.Value, env)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			nr[setOrds[j]] = v
 		}
-		rows = append(rows, nr)
-		n++
-	}
-	if err := tbl.Replace(rows); err != nil {
+		return nr, true, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return affected(n)
+}
+
+// evalCond evaluates a WHERE condition against env.Row.
+func evalCond(cond Expr, env *Env) (bool, error) {
+	v, err := Eval(cond, env)
+	if err != nil {
+		return false, err
+	}
+	return Truthy(v)
+}
+
+// writeProbe picks the index probe a predicated UPDATE or DELETE takes its
+// candidate rows from: the conjunct planPushdown would push into a scan of
+// the table, under the same soundness rules. It returns nil when no conjunct
+// qualifies, and the write then visits every row. The caller still evaluates
+// the full WHERE on each candidate.
+func writeProbe(tbl *storage.Table, where Expr) *storage.Probe {
+	scan := &compiledScan{ref: TableRef{Name: tbl.Name()}, schema: tbl.Schema(), tbl: tbl}
+	planPushdown(where, []*compiledScan{scan})
+	if scan.pushed == nil {
+		return nil
+	}
+	return &storage.Probe{Col: scan.pushed.col, Val: scan.pushed.val}
 }

@@ -20,7 +20,6 @@ package sqlengine
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -750,10 +749,7 @@ func matchPush(c Expr, scans []*compiledScan) (int, pushedEq, bool) {
 	if !indexableEq(col.Type, val) {
 		return 0, pushedEq{}, false
 	}
-	bare := col.Name
-	if dot := strings.LastIndex(bare, "."); dot >= 0 {
-		bare = bare[dot+1:]
-	}
+	bare := cs.tbl.Schema().Column(ord).Name
 	if !cs.tbl.HasIndex(bare) {
 		return 0, pushedEq{}, false
 	}

@@ -41,8 +41,8 @@ func MorselRanges(n, size int) []Morsel {
 
 // Snapshot returns the table's current rows as a point-in-time snapshot with
 // the same consistency argument as Cursor: rows are immutable once stored,
-// appends land beyond the snapshot's length, and Replace/Truncate swap in a
-// fresh slice. Callers must treat the slice and its rows as read-only.
+// appends land beyond the snapshot's length, and Replace/Truncate/Rewrite
+// swap in a fresh slice. Callers must treat the slice and its rows as read-only.
 func (t *Table) Snapshot() []rowset.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -1,26 +1,22 @@
 package storage
 
-import (
-	"strings"
-
-	"repro/internal/rowset"
-)
+import "strings"
 
 // TableStats is a point-in-time cardinality summary of one table: the row
-// count plus the number of distinct values per column. The cost-based parts
-// of the SQL planner use it to estimate the selectivity of an equality
-// predicate (rows / distinct) and to pick hash-join build sides when exact
-// cursor sizes are unknown.
+// count plus the number of distinct values per indexed column. The
+// cost-based parts of the SQL planner use it to estimate the selectivity of
+// an equality predicate (rows / distinct) and to pick hash-join build sides
+// when exact cursor sizes are unknown.
 type TableStats struct {
-	// Rows is the table's row count when the stats were computed.
+	// Rows is the table's row count when the stats were taken.
 	Rows int
-	// Distinct maps lower-cased bare column names to their distinct value
-	// counts (NULL counts as one value).
+	// Distinct maps lower-cased bare names of indexed columns to their
+	// distinct value counts (NULL counts as one value).
 	Distinct map[string]int
 }
 
 // DistinctCount returns the distinct value count for col (case-insensitive),
-// or 0 when the column is unknown.
+// or 0 when the column is unknown or not indexed.
 func (s *TableStats) DistinctCount(col string) int {
 	if s == nil {
 		return 0
@@ -46,68 +42,19 @@ func (s *TableStats) EqEstimate(col string) int {
 	return est
 }
 
-// Version returns the table's data version: a counter bumped by every
-// Insert, Replace, and Truncate. Plan caches key cardinality stats (and plan
-// validity) on it.
-func (t *Table) Version() uint64 { return t.version.Load() }
-
-// statsSnapshot pairs an immutable cardinality summary with the data version
-// it reflects.
-type statsSnapshot struct {
-	version uint64
-	stats   *TableStats
-}
-
-// Stats returns cardinality statistics for the table, recomputing them only
-// when the data version moved since the last computation. The returned value
-// is a shared immutable snapshot; callers must not mutate it.
-//
-// The cache is a copy-on-write snapshot swapped atomically: the fast path is
-// one atomic load, and recomputation takes only the read lock (the scan does
-// not mutate), so a planner asking for statistics never serializes behind —
-// or blocks — concurrent writers for longer than the scan itself.
+// Stats returns cardinality statistics read off the table itself: the row
+// count and, for every indexed column, the number of hash-index buckets.
+// Index buckets are keyed by rowset.Key and every write keeps them exact, so
+// the distinct counts are exact too, and a read after a write costs O(number
+// of indexes) rather than a pass over the rows. Unindexed columns have no
+// distinct count; the planner only asks about indexed ones, since an
+// equality is pushed into a scan only when the column is indexed.
 func (t *Table) Stats() *TableStats {
-	if snap := t.statsSnap.Load(); snap != nil && snap.version == t.version.Load() {
-		return snap.stats
-	}
-	// Read the version inside the lock so the tag matches the rows scanned:
-	// writers bump it under the write lock.
 	t.mu.RLock()
-	v := t.version.Load()
-	s := t.computeStatsRLocked()
-	t.mu.RUnlock()
-	// Publish unless someone already published stats for a newer version —
-	// concurrent computes are idempotent per version, but an older result
-	// must not clobber a fresher one.
-	for {
-		old := t.statsSnap.Load()
-		if old != nil && old.version > v {
-			return s
-		}
-		if t.statsSnap.CompareAndSwap(old, &statsSnapshot{version: v, stats: s}) {
-			return s
-		}
-	}
-}
-
-// computeStatsRLocked scans the table once, counting distinct values per
-// column via the same key encoding the hash indexes use. t.mu must be held
-// (read or write).
-func (t *Table) computeStatsRLocked() *TableStats {
-	s := &TableStats{Rows: len(t.rows), Distinct: make(map[string]int, t.schema.Len())}
-	var scratch [48]byte
-	for ord := 0; ord < t.schema.Len(); ord++ {
-		seen := make(map[string]struct{})
-		for _, r := range t.rows {
-			key := rowset.AppendKey(scratch[:0], r[ord])
-			if _, dup := seen[string(key)]; !dup {
-				seen[string(key)] = struct{}{}
-			}
-		}
-		s.Distinct[strings.ToLower(t.schema.Column(ord).Name)] = len(seen)
+	defer t.mu.RUnlock()
+	s := &TableStats{Rows: len(t.rows), Distinct: make(map[string]int, len(t.indexes))}
+	for name, idx := range t.indexes {
+		s.Distinct[strings.ToLower(name)] = len(idx.rows)
 	}
 	return s
 }
-
-// bumpVersion invalidates cached statistics after a data mutation.
-func (t *Table) bumpVersion() { t.version.Add(1) }
