@@ -13,10 +13,11 @@ import (
 // retained beyond each group's representative. Two-pass (STDEV/VAR) and
 // DISTINCT aggregates fall back to the materializing path, where the group
 // map holds every input row until the stream ends and computeAggregate
-// re-scans the group per call site.
-func (e *Engine) aggregate(sel *SelectStmt, src rowset.Iterator) (*rowset.Rowset, error) {
+// re-scans the group per call site. src is drained and closed.
+func (e *Engine) aggregate(sel *SelectStmt, src rowset.BatchCursor) (*rowset.Rowset, error) {
 	aggs, err := statementAggs(sel)
 	if err != nil {
+		src.Close() //nolint:errcheck // already failing
 		return nil, err
 	}
 	srcSchema := src.Schema()
@@ -83,43 +84,18 @@ func (e *Engine) aggregate(sel *SelectStmt, src rowset.Iterator) (*rowset.Rowset
 	return finishAggregate(sel, srcSchema, finished)
 }
 
-// drainInto pulls src to exhaustion, feeding every row to fn. Batch-capable
-// sources drain one interface call per batch (counted into the engine's batch
-// metric); everything else walks row-at-a-time.
-func (e *Engine) drainInto(src rowset.Iterator, fn func(r rowset.Row) error) error {
-	if bc, ok := src.(rowset.BatchCursor); ok {
-		var batches int64
-		for {
-			b, err := bc.NextBatch()
-			if err != nil {
+// drainInto drains src, feeding every live row to fn, and closes it.
+func (e *Engine) drainInto(src rowset.BatchCursor, fn func(r rowset.Row) error) error {
+	batches, err := drain(src, func(b rowset.Batch) error {
+		for i, n := 0, b.Len(); i < n; i++ {
+			if err := fn(b.Row(i)); err != nil {
 				return err
 			}
-			if b.Empty() {
-				break
-			}
-			batches++
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				if err := fn(b.Row(i)); err != nil {
-					return err
-				}
-			}
 		}
-		e.batches.Add(batches)
 		return nil
-	}
-	for {
-		r, err := src.Next()
-		if err != nil {
-			return err
-		}
-		if r == nil {
-			return nil
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
+	})
+	e.batches.Add(batches)
+	return err
 }
 
 // statementAggs collects every aggregate call site in the statement (items,

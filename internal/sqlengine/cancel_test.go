@@ -65,30 +65,29 @@ func TestCancelCursorStopsMidStream(t *testing.T) {
 	e := newBigEngine(t, 300)
 	rs := mustQuery(t, e, "SELECT * FROM Big")
 	ctx, cancel := context.WithCancel(context.Background())
-	c := &cancelCursor{src: rs.Cursor(), ctx: ctx, done: ctx.Done()}
+	c := &cancelCursor{src: rowset.BatchCursorOf(rs.Cursor()), ctx: ctx, done: ctx.Done()}
 	defer c.Close() //nolint:errcheck
 
-	const before = 10
-	for i := 0; i < before; i++ {
-		if r, err := c.Next(); err != nil || r == nil {
-			t.Fatalf("row %d: r=%v err=%v", i, r, err)
-		}
+	if b, err := c.NextBatch(); err != nil || b.Len() == 0 {
+		t.Fatalf("first window: %d rows, err %v", b.Len(), err)
 	}
 	cancel()
 	// The next poll lands within pollEvery rows of the cancellation.
-	for i := 0; i <= pollEvery; i++ {
-		r, err := c.Next()
+	rows := 0
+	for rows <= pollEvery {
+		b, err := c.NextBatch()
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			return
 		}
-		if r == nil {
+		if b.Empty() {
 			t.Fatal("source drained before the cancellation was observed")
 		}
+		rows += b.Len()
 	}
-	t.Fatalf("no cancellation surfaced within %d rows", pollEvery+1)
+	t.Fatalf("no cancellation surfaced within %d rows", rows)
 }
 
 // TestCancelCursorBatchLatency is the batching regression test for
@@ -101,7 +100,7 @@ func TestCancelCursorBatchLatency(t *testing.T) {
 	e := newBigEngine(t, 4*int(rowset.DefaultBatchSize))
 	rs := mustQuery(t, e, "SELECT * FROM Big")
 	ctx, cancel := context.WithCancel(context.Background())
-	c := &cancelCursor{src: rs.Cursor(), ctx: ctx, done: ctx.Done()}
+	c := &cancelCursor{src: rowset.BatchCursorOf(rs.Cursor()), ctx: ctx, done: ctx.Done()}
 	defer c.Close() //nolint:errcheck
 
 	// First pull: the upstream batch is DefaultBatchSize rows, but the window
@@ -140,7 +139,7 @@ func TestCancelCursorBatchPreCancelled(t *testing.T) {
 	rs := mustQuery(t, e, "SELECT * FROM Big")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := &cancelCursor{src: rs.Cursor(), ctx: ctx, done: ctx.Done()}
+	c := &cancelCursor{src: rowset.BatchCursorOf(rs.Cursor()), ctx: ctx, done: ctx.Done()}
 	defer c.Close() //nolint:errcheck
 	if b, err := c.NextBatch(); !errors.Is(err, context.Canceled) || b.Len() != 0 {
 		t.Fatalf("NextBatch = %d rows, err %v; want 0 rows and context.Canceled", b.Len(), err)

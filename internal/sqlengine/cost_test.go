@@ -2,10 +2,12 @@ package sqlengine
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/rowset"
 	"repro/internal/storage"
 )
 
@@ -124,34 +126,56 @@ func TestPushdownPicksMostSelectiveIndex(t *testing.T) {
 	}
 }
 
+// planLabels flattens a span tree to "kind label" lines, dropping the
+// runtime-only " batches=N" annotation execution appends to operator labels.
+func planLabels(root *obs.Span) []string {
+	var out []string
+	root.Walk(func(sp *obs.Span, depth int) {
+		out = append(out, sp.Kind+" "+batchesSuffix.ReplaceAllString(sp.Label, ""))
+	})
+	return out
+}
+
+var batchesSuffix = regexp.MustCompile(`\s*batches=\d+$`)
+
 // TestCostPlanSpanMirrorsExecution: Engine.PlanSpan (the EXPLAIN surface)
-// reports the same build-side and pushdown decisions execution makes.
+// reports exactly the decisions execution makes — build side, index probe,
+// and morsel fan-out — in the same span tree.
 func TestCostPlanSpanMirrorsExecution(t *testing.T) {
 	e := costEngine(t)
+	e.Vec.Workers = 4
+	if _, err := e.Exec("CREATE TABLE HUGE (ID LONG, G TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	huge, err := e.DB.Table("HUGE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < defaultVecThreshold+1000; i++ {
+		if err := huge.Insert(rowset.Row{int64(i), fmt.Sprintf("g%d", i%50)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := huge.CreateIndex("ID"); err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range []string{
 		"SELECT SMALL.V, BIG.G FROM BIG JOIN SMALL ON BIG.ID = SMALL.ID",
 		"SELECT G FROM BIG WHERE G = 'g7' AND ID = 7",
+		"SELECT G FROM HUGE WHERE G > 'g3'",       // morsel-parallel
+		"SELECT G, COUNT(*) FROM HUGE GROUP BY G", // morsel-parallel
+		"SELECT G FROM HUGE WHERE ID = 7",         // index probe
+		"SELECT TOP 3 G FROM HUGE WHERE G > 'g3'", // sequential: TOP
+		"SELECT HUGE.G FROM HUGE JOIN SMALL ON HUGE.ID = SMALL.ID",
 	} {
 		st, err := Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned := e.PlanSpan(st.(*SelectStmt))
-		root := runTraced(t, e, q)
-		for _, kind := range []string{"scan", "join"} {
-			plan, exec := findSpans(planned, kind), findSpans(root.Children[0], kind)
-			if len(plan) != len(exec) {
-				t.Errorf("%q %s spans: plan %v != executed %v", q, kind, plan, exec)
-				continue
-			}
-			for i := range plan {
-				// Executed spans may append runtime-only annotations
-				// ("batches=N") after the planned label; the planning
-				// decisions themselves must match exactly.
-				if !strings.HasPrefix(exec[i], plan[i]) {
-					t.Errorf("%q %s label: plan %q is not a prefix of executed %q", q, kind, plan[i], exec[i])
-				}
-			}
+		plan := planLabels(e.PlanSpan(st.(*SelectStmt)))
+		exec := planLabels(runTraced(t, e, q).Children[0])
+		if strings.Join(plan, "\n") != strings.Join(exec, "\n") {
+			t.Errorf("%q:\n  planned  %q\n  executed %q", q, plan, exec)
 		}
 	}
 }

@@ -173,12 +173,13 @@ func needsAggregate(sel *SelectStmt) bool {
 	return false
 }
 
-// QueryContext executes a SELECT as a pull-based cursor pipeline: scans
-// (index-aware when a WHERE equality can be pushed down), streaming joins,
-// filter, projection, DISTINCT, and TOP pipeline row-at-a-time; only ORDER
-// BY, GROUP BY, and hash-join build sides materialize, because their
-// semantics need the whole input. TOP therefore stops upstream work as soon
-// as it has its rows.
+// QueryContext executes a SELECT: planSelect decides the plan once, then
+// either the morsel-parallel path (see morsel.go) or the sequential pipeline
+// runs it. The sequential pipeline pulls batches through scans (index-aware
+// when a WHERE equality can be pushed down), streaming joins, filter,
+// projection, DISTINCT, and TOP; only ORDER BY, GROUP BY, and hash-join build
+// sides materialize, because their semantics need the whole input. TOP
+// therefore stops upstream work once it has its rows.
 //
 // Each executor node records one span — scan, join, filter, group-by, sort,
 // project — on the trace carried by ctx; the spans are created in plan order
@@ -193,23 +194,30 @@ func (e *Engine) QueryContext(ctx context.Context, sel *SelectStmt) (*rowset.Row
 	if err != nil {
 		return nil, err
 	}
-	// Order-insensitive single-table statements over large tables take the
-	// morsel-parallel path (see morsel.go); everything else runs the
-	// sequential (but batch-vectorized) pipeline below.
-	if out, handled, err := e.tryMorsel(ctx, t, sel); handled {
-		if err != nil {
-			return nil, err
-		}
-		spSel.SetRows(int64(out.Len()))
-		return out, nil
-	}
-	detailed := t.Detailed()
-	src, residual, err := e.buildSourceCursor(t, sel)
+	p, err := e.planSelect(sel)
 	if err != nil {
 		return nil, err
 	}
+	var out *rowset.Rowset
+	if p.parallel {
+		out, err = e.runMorsel(ctx, t, p)
+	} else {
+		out, err = e.runSequential(ctx, t, p)
+	}
+	if err != nil {
+		return nil, err
+	}
+	spSel.SetRows(int64(out.Len()))
+	return out, nil
+}
+
+// runSequential executes p as one pipeline on the calling goroutine.
+func (e *Engine) runSequential(ctx context.Context, t *obs.Trace, p *selectPlan) (*rowset.Rowset, error) {
+	sel := p.sel
+	detailed := t.Detailed()
+	src := p.openSource(t)
 	if done := ctx.Done(); done != nil {
-		// Cancellable statement: poll ctx between row batches so a Close'd
+		// Cancellable statement: poll ctx between row windows so a Close'd
 		// server or timed-out client stops the scan mid-stream. The wrap
 		// sits above the joins, so one poll point covers the whole source
 		// pipeline.
@@ -221,30 +229,23 @@ func (e *Engine) QueryContext(ctx context.Context, sel *SelectStmt) (*rowset.Row
 		// shape must not depend on which indexes happened to exist.
 		spF := t.StartSpan("filter", "")
 		t.EndSpan(spF)
-		if residual != nil || spF != nil {
-			src = traced(newFilterCursor(src, residual), spF, detailed)
+		if p.residual != nil || spF != nil {
+			src = traced(newFilterCursor(src, p.residual), spF, detailed)
 		}
 	}
-	var out *rowset.Rowset
-	if needsAggregate(sel) {
-		sp := t.StartSpan("group-by", "")
-		out, err = e.aggregate(sel, src)
-		src.Close() //nolint:errcheck // engine cursors fail only via Next
-		if err != nil {
-			t.EndSpan(sp)
-			return nil, err
-		}
+	if !needsAggregate(sel) {
+		return e.projectStream(t, sel, src, p.sourceHint())
+	}
+	sp := t.StartSpan("group-by", "")
+	out, err := e.aggregate(sel, src)
+	if err == nil {
 		sp.SetRows(int64(out.Len()))
-		t.EndSpan(sp)
-		out, err = finishMaterialized(out, sel)
-	} else {
-		out, err = e.projectStream(t, sel, src)
 	}
+	t.EndSpan(sp)
 	if err != nil {
 		return nil, err
 	}
-	spSel.SetRows(int64(out.Len()))
-	return out, nil
+	return finishMaterialized(out, sel)
 }
 
 // finishMaterialized applies DISTINCT and TOP to an already-materialized
@@ -253,29 +254,44 @@ func finishMaterialized(out *rowset.Rowset, sel *SelectStmt) (*rowset.Rowset, er
 	if !sel.Distinct && (sel.Top <= 0 || out.Len() <= sel.Top) {
 		return out, nil
 	}
-	var cur rowset.Cursor = out.Cursor()
+	rows, _, err := drainRows(distinctTop(newSliceCursor(out.Schema(), out.Rows()), sel), 0)
+	if err != nil {
+		return nil, err
+	}
+	return rowset.Adopt(out.Schema(), rows), nil
+}
+
+// distinctTop stacks the statement's DISTINCT and TOP operators on cur.
+func distinctTop(cur rowset.BatchCursor, sel *SelectStmt) rowset.BatchCursor {
 	if sel.Distinct {
 		cur = newDistinctCursor(cur)
 	}
 	if sel.Top > 0 {
 		cur = &limitCursor{src: cur, n: sel.Top}
 	}
-	return rowset.FromCursor(cur)
+	return cur
 }
 
 // projectStream runs the non-aggregating tail of the pipeline: projection,
 // then ORDER BY (the one materializing step, and only when present), then
 // streaming DISTINCT and TOP, and finally adopts the drained rows into the
-// result rowset without re-normalizing them.
-func (e *Engine) projectStream(t *obs.Trace, sel *SelectStmt, src rowset.Cursor) (*rowset.Rowset, error) {
+// result rowset without re-normalizing them. capHint bounds the rows src
+// yields (0 when unknown).
+func (e *Engine) projectStream(t *obs.Trace, sel *SelectStmt, src rowset.BatchCursor, capHint int) (*rowset.Rowset, error) {
 	detailed := t.Detailed()
-	items, err := expandStars(sel.Items, src.Schema())
+	srcSchema := src.Schema()
+	// Projection maps rows one to one, so without DISTINCT or ORDER BY a TOP
+	// cuts the stream before it and rows past the Nth are never projected.
+	early := sel.Top > 0 && !sel.Distinct && len(sel.OrderBy) == 0
+	if early {
+		src = &limitCursor{src: src, n: sel.Top}
+	}
+	items, err := expandStars(sel.Items, srcSchema)
 	if err != nil {
 		src.Close() //nolint:errcheck // already failing
 		return nil, err
 	}
 	names := outputNames(items)
-	srcSchema := src.Schema()
 	spProj := t.StartSpan("project", "")
 	t.EndSpan(spProj)
 	proj, err := newProjectCursor(src, items, names, sel.OrderBy)
@@ -286,28 +302,31 @@ func (e *Engine) projectStream(t *obs.Trace, sel *SelectStmt, src rowset.Cursor)
 	cur := traced(proj, spProj, detailed)
 	if len(sel.OrderBy) > 0 {
 		spSort := t.StartSpan("sort", "")
-		outs, keys, batches, err := drainWithKeys(cur, proj)
+		outs, keys, batches, err := drainWithKeys(cur, proj, capHint)
+		e.batches.Add(batches)
 		if err != nil {
 			t.EndSpan(spSort)
 			return nil, err
 		}
-		e.batches.Add(batches)
 		rowset.SortByKeys(outs, keys, descFlags(sel.OrderBy))
 		spSort.SetRows(int64(len(outs)))
 		t.EndSpan(spSort)
-		cur = newSliceCursor(proj.Schema(), outs)
-	}
-	if sel.Distinct {
-		cur = newDistinctCursor(cur)
+		cur, capHint = newSliceCursor(proj.Schema(), outs), len(outs)
 	}
 	if sel.Top > 0 {
-		cur = &limitCursor{src: cur, n: sel.Top}
+		capHint = min(capHint, sel.Top)
 	}
-	rows, batches, err := drainRowsCounted(cur)
+	if !early {
+		if sel.Distinct {
+			capHint = 0
+		}
+		cur = distinctTop(cur, sel)
+	}
+	rows, batches, err := drainRows(cur, capHint)
+	e.batches.Add(batches)
 	if err != nil {
 		return nil, err
 	}
-	e.batches.Add(batches)
 	schema, err := outputSchema(items, names, srcSchema, rows)
 	if err != nil {
 		return nil, err
@@ -326,90 +345,6 @@ func joinKindLabel(k JoinKind) string {
 		return "cross"
 	}
 	return "inner"
-}
-
-// PlanSpan renders the SELECT's executor plan as a span tree without running
-// it: the same operator nodes, in the same order, that QueryContext would
-// record on a trace — scan/join per FROM entry, filter, then group-by or
-// project (+sort). Elapsed and Rows stay zero; EXPLAIN renders them as NULL.
-func (sel *SelectStmt) PlanSpan() *obs.Span {
-	sp := obs.NewSpan("select", "")
-	for i, ref := range sel.From {
-		sp.Add(obs.NewSpan("scan", ref.AliasOrName()))
-		if i > 0 {
-			sp.Add(obs.NewSpan("join", joinKindLabel(ref.Kind)))
-		}
-	}
-	if sel.Where != nil {
-		sp.Add(obs.NewSpan("filter", ""))
-	}
-	if needsAggregate(sel) {
-		sp.Add(obs.NewSpan("group-by", ""))
-	} else {
-		sp.Add(obs.NewSpan("project", ""))
-		if len(sel.OrderBy) > 0 {
-			sp.Add(obs.NewSpan("sort", ""))
-		}
-	}
-	return sp
-}
-
-// PlanSpan is the SELECT's cost-annotated executor plan: the span tree
-// sel.PlanSpan() declares, with scan labels carrying index-pushdown choices
-// and cardinality estimates ("cust index=id est=1") and join labels the
-// build-side decision ("inner build=left") — the same choices QueryContext
-// would make right now against the live catalog and table statistics. Falls
-// back to the shape-only sel.PlanSpan() when the catalog cannot resolve the
-// statement (EXPLAIN must not fail where execution would explain better).
-func (e *Engine) PlanSpan(sel *SelectStmt) *obs.Span {
-	if len(sel.From) == 0 {
-		return sel.PlanSpan()
-	}
-	scans := make([]*compiledScan, len(sel.From))
-	for i, ref := range sel.From {
-		cs, err := e.resolveScan(ref)
-		if err != nil {
-			return sel.PlanSpan()
-		}
-		scans[i] = cs
-	}
-	planPushdown(sel.Where, scans)
-	sp := obs.NewSpan("select", "")
-	accSchema := scans[0].schema
-	accEst := scans[0].estimate
-	for i, cs := range scans {
-		sp.Add(obs.NewSpan("scan", cs.label()))
-		if i == 0 {
-			continue
-		}
-		strategy := "loop"
-		if cs.ref.Kind != JoinCross {
-			if _, _, ok := equiJoinOrdinals(cs.ref.On, accSchema, cs.schema); ok {
-				if buildLeft(-1, -1, accEst, cs.estimate) {
-					strategy = "build=left"
-				} else {
-					strategy = "build=right"
-				}
-			}
-		}
-		sp.Add(obs.NewSpan("join", joinLabel(cs.ref.Kind, strategy)))
-		if joined, err := concatSchemas(accSchema, cs.schema); err == nil {
-			accSchema = joined
-		}
-		accEst = joinEstimate(accEst, cs.estimate, cs.ref.Kind)
-	}
-	if sel.Where != nil {
-		sp.Add(obs.NewSpan("filter", ""))
-	}
-	if needsAggregate(sel) {
-		sp.Add(obs.NewSpan("group-by", ""))
-	} else {
-		sp.Add(obs.NewSpan("project", ""))
-		if len(sel.OrderBy) > 0 {
-			sp.Add(obs.NewSpan("sort", ""))
-		}
-	}
-	return sp
 }
 
 func concatSchemas(a, b *rowset.Schema) (*rowset.Schema, error) {

@@ -31,7 +31,7 @@ func oracleQuery(e *Engine, sel *SelectStmt) (*rowset.Rowset, error) {
 	}
 	var out *rowset.Rowset
 	if needsAggregate(sel) {
-		out, err = e.aggregate(sel, src.Iter())
+		out, err = e.aggregate(sel, rowset.BatchCursorOf(src.Cursor()))
 	} else {
 		out, err = oracleProject(sel, src)
 	}

@@ -1,18 +1,18 @@
 package sqlengine
 
-// Streaming join operators. All three preserve the exact output order of the
-// old materialized join (left-major: left rows in their scan order, each
+// Streaming join operators. Both preserve the exact output order of the old
+// materialized join (left-major: left rows in their scan order, each
 // followed by its matches in right scan order) so results stay byte-identical:
 //
-//   - hashJoinStream: equi-join that builds a hash table over the right input
-//     and probes left rows one at a time — the probe side never materializes.
-//   - hashJoinBuildLeft: equi-join that builds over the LEFT input when a
-//     cardinality hint proves it is the smaller side. Building left while
-//     emitting left-major forces full materialization, so this strategy is
-//     chosen only when the build-side saving (a smaller hash table) is known,
-//     not guessed.
-//   - loopJoin: cross joins and general ON expressions; materializes the right
-//     side once and streams the left.
+//   - probeJoin: materializes the right input once — hashed on its key for an
+//     equi-join, as a plain row list for cross joins and general ON
+//     expressions — and streams left batches through it. The probe side
+//     never materializes.
+//   - hashJoinBuildLeft: equi-join that builds over the LEFT input when the
+//     planner knows it is the smaller side. Building left while emitting
+//     left-major forces full materialization, so this strategy is chosen only
+//     when the build-side saving (a smaller hash table) is known, not
+//     guessed.
 
 import (
 	"repro/internal/par"
@@ -20,56 +20,46 @@ import (
 	"repro/internal/storage"
 )
 
-// newJoinCursor picks a join strategy for one FROM step, reporting the choice
-// ("build=left", "build=right", or "loop") for span labels. Exact cursor
-// sizes decide the hash-join build side when both are known; otherwise the
-// planner's cardinality estimates (lest/rest, negative = unknown) stand in,
-// turning the build-side choice into a cost-based decision instead of a
-// build-right default. Both inputs are owned by the returned cursor (closed
-// on Close or exhaustion); on error the caller still owns them.
-func newJoinCursor(left, right rowset.Cursor, kind JoinKind, on Expr, lest, rest int) (rowset.Cursor, string, error) {
-	schema, err := concatSchemas(left.Schema(), right.Schema())
-	if err != nil {
-		return nil, "", err
-	}
-	if kind != JoinCross {
-		if lo, ro, ok := equiJoinOrdinals(on, left.Schema(), right.Schema()); ok {
-			if buildLeft(cursorSize(left), cursorSize(right), lest, rest) {
-				return &hashJoinBuildLeft{
-					left: left, right: right, schema: schema,
-					lo: lo, ro: ro, leftOuter: kind == JoinLeft,
-				}, "build=left", nil
-			}
-			return &hashJoinStream{
-				left: left, right: right, schema: schema,
-				lo: lo, ro: ro, leftOuter: kind == JoinLeft,
-				nullRight: make(rowset.Row, right.Schema().Len()),
-			}, "build=right", nil
+// joinStrategy is the planner's choice of operator for one FROM step.
+type joinStrategy int
+
+const (
+	joinBuildRight joinStrategy = iota // probeJoin, hashed right side
+	joinBuildLeft                      // hashJoinBuildLeft
+	joinLoop                           // probeJoin, ON evaluated per pair
+)
+
+// newJoinCursor builds the operator jp chose over left and right. Both inputs
+// are owned by the returned cursor (closed on Close or exhaustion). The size
+// hints preallocate the side that is materialized.
+func newJoinCursor(left, right rowset.BatchCursor, jp *joinPlan, leftHint, rightHint, workers int) rowset.BatchCursor {
+	leftOuter := jp.kind == JoinLeft
+	switch jp.strategy {
+	case joinBuildLeft:
+		return &hashJoinBuildLeft{
+			left: left, right: right, schema: jp.schema,
+			lo: jp.lo, ro: jp.ro, leftOuter: leftOuter,
+			leftHint: leftHint, workers: workers,
+		}
+	case joinBuildRight:
+		return &probeJoin{
+			left: left, right: right, schema: jp.schema,
+			hashed: true, lo: jp.lo, ro: jp.ro, leftOuter: leftOuter,
+			nullRight: make(rowset.Row, right.Schema().Len()),
+			rightHint: rightHint, workers: workers,
 		}
 	}
-	lj := &loopJoin{
-		left: left, right: right, schema: schema,
-		env:       &Env{Schema: schema},
+	pj := &probeJoin{
+		left: left, right: right, schema: jp.schema,
 		nullRight: make(rowset.Row, right.Schema().Len()),
+		rightHint: rightHint,
 	}
-	if kind != JoinCross {
-		lj.on = on
-		lj.leftOuter = kind == JoinLeft
+	if jp.kind != JoinCross {
+		pj.on = jp.on
+		pj.env = &Env{Schema: jp.schema}
+		pj.leftOuter = leftOuter
 	}
-	return lj, "loop", nil
-}
-
-// buildLeft decides the hash-join build side: exact cursor sizes win, the
-// planner's estimates fill in for unknowns, and build-right remains the
-// default when neither side's cardinality is established.
-func buildLeft(ls, rs, lest, rest int) bool {
-	if ls < 0 {
-		ls = lest
-	}
-	if rs < 0 {
-		rs = rest
-	}
-	return ls >= 0 && rs >= 0 && ls < rs
+	return pj
 }
 
 // joinRows concatenates a left and right half into one output row.
@@ -79,32 +69,54 @@ func joinRows(l, r rowset.Row) rowset.Row {
 	return append(row, r...)
 }
 
-// hashJoinStream drains the right side into a hash table on first pull, then
-// streams left rows through it. NULL keys never match (SQL equi-join
-// semantics), matching the filter the build loop applies.
-type hashJoinStream struct {
-	left, right rowset.Cursor
+// probeJoin drains the right side on first pull, then streams left rows
+// through it. A hashed join looks each left key up in a hash table over the
+// right rows (NULL keys never match, SQL equi-join semantics); otherwise
+// every right row is a candidate, kept when on (nil for a cross join)
+// evaluates TRUE. Output batches stop at DefaultBatchSize rows, resuming
+// mid-left-row on the next pull, so a cross join's output never piles up in
+// one batch.
+type probeJoin struct {
+	left, right rowset.BatchCursor
 	schema      *rowset.Schema
-	lo, ro      int
 	leftOuter   bool
 	nullRight   rowset.Row
-	workers     int // parallel key workers for the build side (0 = sequential)
+	rightHint   int // preallocation for the drained right side
 
-	built    bool
-	ht       map[string][]rowset.Row
-	pendLeft rowset.Row
-	pend     []rowset.Row
-	pi       int
-	scratch  []byte
+	hashed  bool
+	lo, ro  int
+	workers int // parallel key workers for the hash build (0 = sequential)
+	ht      map[string][]rowset.Row
+	scratch []byte
 
-	bleft  rowset.BatchCursor
-	outBuf []rowset.Row
+	on    Expr
+	env   *Env
+	probe rowset.Row
+
+	built     bool
+	rightRows []rowset.Row
+
+	// Resume point: the current left batch (held until its rows are all
+	// joined; the left side is not pulled again before then), the left row
+	// within it, that row's candidates and the next candidate to try.
+	lb      rowset.Batch
+	li      int
+	cands   []rowset.Row
+	ci      int
+	matched bool
+	outBuf  []rowset.Row
 }
 
-func (j *hashJoinStream) build() error {
-	rows, err := drainRows(j.right)
+func (j *probeJoin) build() error {
+	rows, _, err := drainRows(j.right, j.rightHint)
 	if err != nil {
 		return err
+	}
+	j.built = true
+	if !j.hashed {
+		j.rightRows = rows
+		j.probe = make(rowset.Row, 0, j.schema.Len())
+		return nil
 	}
 	keys := buildKeys(rows, j.ro, j.workers)
 	j.ht = make(map[string][]rowset.Row, len(rows))
@@ -114,7 +126,6 @@ func (j *hashJoinStream) build() error {
 		}
 		j.ht[keys[i]] = append(j.ht[keys[i]], r)
 	}
-	j.built = true
 	return nil
 }
 
@@ -152,85 +163,79 @@ func buildKeys(rows []rowset.Row, ord, workers int) []string {
 	return keys
 }
 
-func (j *hashJoinStream) Next() (rowset.Row, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
-			return nil, err
-		}
+// candidates returns the right rows left row l may join with.
+func (j *probeJoin) candidates(l rowset.Row) []rowset.Row {
+	if !j.hashed {
+		return j.rightRows
 	}
-	for {
-		if j.pi < len(j.pend) {
-			r := joinRows(j.pendLeft, j.pend[j.pi])
-			j.pi++
-			return r, nil
-		}
-		l, err := j.left.Next()
-		if err != nil || l == nil {
-			return nil, err
-		}
-		var matches []rowset.Row
-		if l[j.lo] != nil {
-			// map[string(bytes)] probes compile without materializing the key.
-			matches = j.ht[string(rowset.AppendKey(j.scratch[:0], l[j.lo]))]
-		}
-		if len(matches) == 0 {
-			if j.leftOuter {
-				return joinRows(l, j.nullRight), nil
-			}
-			continue
-		}
-		j.pendLeft, j.pend, j.pi = l, matches, 0
+	if l[j.lo] == nil {
+		return nil
 	}
+	// map[string(bytes)] probes compile without materializing the key.
+	return j.ht[string(rowset.AppendKey(j.scratch[:0], l[j.lo]))]
 }
 
-// NextBatch probes a whole left batch against the hash table, assembling the
-// joined rows into a reused output buffer. A batch's worth of probes per
-// interface call; the joined rows themselves are freshly allocated (they are
+// NextBatch joins left rows into a reused output buffer until it holds a
+// batch's worth. The joined rows themselves are freshly allocated (they are
 // result rows, retained by consumers).
-func (j *hashJoinStream) NextBatch() (rowset.Batch, error) {
+func (j *probeJoin) NextBatch() (rowset.Batch, error) {
 	if !j.built {
 		if err := j.build(); err != nil {
 			return rowset.Batch{}, err
 		}
 	}
-	if j.bleft == nil {
-		j.bleft = rowset.BatchCursorOf(j.left)
-	}
-	for {
-		b, err := j.bleft.NextBatch()
-		if err != nil || b.Empty() {
-			return b, err
-		}
-		out := j.outBuf[:0]
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			l := b.Row(i)
-			var matches []rowset.Row
-			if l[j.lo] != nil {
-				matches = j.ht[string(rowset.AppendKey(j.scratch[:0], l[j.lo]))]
+	out := j.outBuf[:0]
+	for len(out) < rowset.DefaultBatchSize {
+		if j.li >= j.lb.Len() {
+			b, err := j.left.NextBatch()
+			if err != nil {
+				return rowset.Batch{}, err
 			}
-			if len(matches) == 0 {
-				if j.leftOuter {
-					out = append(out, joinRows(l, j.nullRight))
+			if b.Empty() {
+				break
+			}
+			j.lb, j.li = b, 0
+			j.cands, j.ci, j.matched = j.candidates(b.Row(0)), 0, false
+		}
+		l := j.lb.Row(j.li)
+		for j.ci < len(j.cands) && len(out) < rowset.DefaultBatchSize {
+			r := j.cands[j.ci]
+			j.ci++
+			if j.on != nil {
+				j.probe = append(append(j.probe[:0], l...), r...)
+				j.env.Row = j.probe
+				ok, err := evalCond(j.on, j.env)
+				if err != nil {
+					return rowset.Batch{}, err
 				}
-				continue
+				if !ok {
+					continue
+				}
 			}
-			for _, r := range matches {
-				out = append(out, joinRows(l, r))
-			}
+			j.matched = true
+			out = append(out, joinRows(l, r))
 		}
-		j.outBuf = out
-		if len(out) == 0 {
-			continue // no left row in this batch matched: keep pulling
+		if j.ci < len(j.cands) {
+			break // output full mid-row: resume here on the next pull
 		}
-		return rowset.Batch{Rows: out}, nil
+		if !j.matched && j.leftOuter {
+			out = append(out, joinRows(l, j.nullRight))
+		}
+		if j.li++; j.li < j.lb.Len() {
+			j.cands, j.ci, j.matched = j.candidates(j.lb.Row(j.li)), 0, false
+		}
 	}
+	j.outBuf = out
+	if len(out) == 0 {
+		return rowset.Batch{}, nil
+	}
+	return rowset.Batch{Rows: out}, nil
 }
 
-func (j *hashJoinStream) Schema() *rowset.Schema { return j.schema }
+func (j *probeJoin) Schema() *rowset.Schema { return j.schema }
 
-func (j *hashJoinStream) Close() error {
-	j.pend, j.pendLeft, j.ht = nil, nil, nil
+func (j *probeJoin) Close() error {
+	j.ht, j.rightRows, j.cands, j.lb = nil, nil, nil, rowset.Batch{}
 	err := j.left.Close()
 	if rerr := j.right.Close(); err == nil {
 		err = rerr
@@ -243,10 +248,11 @@ func (j *hashJoinStream) Close() error {
 // collecting each left row's matches. Output is emitted left-major afterward,
 // so the result order is identical to probing left-to-right.
 type hashJoinBuildLeft struct {
-	left, right rowset.Cursor
+	left, right rowset.BatchCursor
 	schema      *rowset.Schema
 	lo, ro      int
 	leftOuter   bool
+	leftHint    int // preallocation for the drained left side
 	workers     int // parallel key workers for the build side (0 = sequential)
 
 	out []rowset.Row
@@ -255,11 +261,8 @@ type hashJoinBuildLeft struct {
 }
 
 func (j *hashJoinBuildLeft) run() error {
-	defer j.left.Close()  //nolint:errcheck // drained to exhaustion
-	defer j.right.Close() //nolint:errcheck // drained to exhaustion
 	j.ran = true
-
-	leftRows, err := drainRows(j.left)
+	leftRows, _, err := drainRows(j.left, j.leftHint)
 	if err != nil {
 		return err
 	}
@@ -273,17 +276,8 @@ func (j *hashJoinBuildLeft) run() error {
 	}
 	matches := make([][]rowset.Row, len(leftRows))
 	var scratch []byte
-	brc := rowset.BatchCursorOf(j.right)
-	for {
-		b, err := brc.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b.Empty() {
-			break
-		}
-		n := b.Len()
-		for i := 0; i < n; i++ {
+	_, err = drain(j.right, func(b rowset.Batch) error {
+		for i, n := 0, b.Len(); i < n; i++ {
 			r := b.Row(i)
 			if r[j.ro] == nil {
 				continue
@@ -292,6 +286,10 @@ func (j *hashJoinBuildLeft) run() error {
 				matches[li] = append(matches[li], r)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	var nullRight rowset.Row
 	if j.leftOuter {
@@ -311,20 +309,6 @@ func (j *hashJoinBuildLeft) run() error {
 	return nil
 }
 
-func (j *hashJoinBuildLeft) Next() (rowset.Row, error) {
-	if !j.ran {
-		if err := j.run(); err != nil {
-			return nil, err
-		}
-	}
-	if j.oi >= len(j.out) {
-		return nil, nil
-	}
-	r := j.out[j.oi]
-	j.oi++
-	return r, nil
-}
-
 // NextBatch streams the materialized output in zero-copy windows.
 func (j *hashJoinBuildLeft) NextBatch() (rowset.Batch, error) {
 	if !j.ran {
@@ -335,10 +319,7 @@ func (j *hashJoinBuildLeft) NextBatch() (rowset.Batch, error) {
 	if j.oi >= len(j.out) {
 		return rowset.Batch{}, nil
 	}
-	hi := j.oi + rowset.DefaultBatchSize
-	if hi > len(j.out) {
-		hi = len(j.out)
-	}
+	hi := min(j.oi+rowset.DefaultBatchSize, len(j.out))
 	b := rowset.Batch{Rows: j.out[j.oi:hi]}
 	j.oi = hi
 	return b, nil
@@ -354,89 +335,3 @@ func (j *hashJoinBuildLeft) Close() error {
 	}
 	return err
 }
-
-// loopJoin handles cross joins (on == nil: every pair) and arbitrary ON
-// expressions. The right side is materialized once; left rows stream through
-// it with a reusable probe row for ON evaluation.
-type loopJoin struct {
-	left, right rowset.Cursor
-	schema      *rowset.Schema
-	on          Expr
-	leftOuter   bool
-	env         *Env
-	nullRight   rowset.Row
-
-	built     bool
-	rightRows []rowset.Row
-	cur       rowset.Row
-	ri        int
-	matched   bool
-	probe     rowset.Row
-}
-
-func (j *loopJoin) Next() (rowset.Row, error) {
-	if !j.built {
-		rows, err := drainRows(j.right)
-		if err != nil {
-			return nil, err
-		}
-		j.rightRows = rows
-		j.probe = make(rowset.Row, 0, j.schema.Len())
-		j.built = true
-	}
-	for {
-		if j.cur == nil {
-			l, err := j.left.Next()
-			if err != nil || l == nil {
-				return nil, err
-			}
-			j.cur, j.ri, j.matched = l, 0, false
-		}
-		for j.ri < len(j.rightRows) {
-			r := j.rightRows[j.ri]
-			j.ri++
-			if j.on == nil {
-				return joinRows(j.cur, r), nil
-			}
-			j.probe = append(append(j.probe[:0], j.cur...), r...)
-			j.env.Row = j.probe
-			v, err := Eval(j.on, j.env)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := Truthy(v)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				j.matched = true
-				return joinRows(j.cur, r), nil
-			}
-		}
-		l := j.cur
-		j.cur = nil
-		if !j.matched && j.leftOuter {
-			return joinRows(l, j.nullRight), nil
-		}
-	}
-}
-
-func (j *loopJoin) Schema() *rowset.Schema { return j.schema }
-
-func (j *loopJoin) Close() error {
-	j.rightRows, j.cur = nil, nil
-	err := j.left.Close()
-	if rerr := j.right.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
-
-// compile-time interface checks
-var (
-	_ rowset.Cursor      = (*hashJoinStream)(nil)
-	_ rowset.Cursor      = (*hashJoinBuildLeft)(nil)
-	_ rowset.Cursor      = (*loopJoin)(nil)
-	_ rowset.BatchCursor = (*hashJoinStream)(nil)
-	_ rowset.BatchCursor = (*hashJoinBuildLeft)(nil)
-)

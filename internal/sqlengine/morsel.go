@@ -12,14 +12,18 @@ package sqlengine
 // surfaces the same error a sequential left-to-right scan would have hit
 // first.
 //
-// Which statements opt in (everything else runs the sequential pipeline):
+// Which statements planSelect sends here (everything else runs the
+// sequential pipeline):
 //
-//   - single FROM entry resolving to a base table (views materialize anyway);
+//   - single FROM entry resolving to a base table (views materialize anyway)
+//     of at least defaultVecThreshold rows, with more than one worker — or
+//     any size under VecConfig.Force;
 //   - no index pushdown chosen (an index probe is already sub-linear — fanning
 //     out a full scan would be a de-optimization);
-//   - non-aggregating statements must have no ORDER BY and no DISTINCT: sort
-//     would re-materialize anyway, and DISTINCT's first-occurrence dedup state
-//     does not merge by morsel;
+//   - non-aggregating statements must have no ORDER BY, no DISTINCT and no
+//     TOP: sort would re-materialize anyway, DISTINCT's first-occurrence
+//     dedup state does not merge by morsel, and TOP must stop the scan once
+//     it has its rows instead of scanning every morsel;
 //   - aggregating statements must use only mergeable aggregates — COUNT, SUM,
 //     AVG, MIN, MAX without DISTINCT. STDEV/VAR are two-pass over the full
 //     group and DISTINCT aggregates need global dedup state, so both stay
@@ -36,7 +40,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -46,16 +49,13 @@ import (
 
 // VecConfig tunes the vectorized/morsel execution paths. The zero value means
 // defaults: GOMAXPROCS workers, storage.DefaultMorselSize morsels, and
-// parallelism only for tables past the size threshold.
+// parallelism only for tables of at least defaultVecThreshold rows.
 type VecConfig struct {
 	// Workers bounds the scan worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// MorselSize is the scan range handed to one worker at a time; <= 0 means
 	// storage.DefaultMorselSize.
 	MorselSize int
-	// Threshold is the minimum table cardinality before a scan fans out;
-	// <= 0 means defaultVecThreshold. Below it the fan-out overhead dominates.
-	Threshold int
 	// Force takes the morsel path regardless of table size and worker count.
 	// The differential tests use it to exercise the parallel operators on
 	// small fixtures and single-core hosts.
@@ -73,13 +73,6 @@ func (e *Engine) vecWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (e *Engine) vecThreshold() int {
-	if e.Vec.Threshold > 0 {
-		return e.Vec.Threshold
-	}
-	return defaultVecThreshold
-}
-
 func (e *Engine) vecMorselSize() int {
 	if e.Vec.MorselSize > 0 {
 		return e.Vec.MorselSize
@@ -87,66 +80,25 @@ func (e *Engine) vecMorselSize() int {
 	return storage.DefaultMorselSize
 }
 
-// tryMorsel executes sel on the morsel-parallel path when it is eligible (see
-// the file comment). handled=false means the caller must run the regular
-// pipeline — including for resolution errors, which the regular path surfaces
-// identically.
-func (e *Engine) tryMorsel(ctx context.Context, t *obs.Trace, sel *SelectStmt) (*rowset.Rowset, bool, error) {
-	if len(sel.From) != 1 {
-		return nil, false, nil
-	}
-	agg := needsAggregate(sel)
-	if agg {
-		if !mergeableAggregates(sel) {
-			return nil, false, nil
-		}
-	} else if len(sel.OrderBy) > 0 || sel.Distinct {
-		return nil, false, nil
-	}
-	tbl, ok := e.TableSource(sel.From[0].Name)
-	if !ok {
-		return nil, false, nil
-	}
-	// Size/worker gate before the scan is resolved: every SELECT passes
-	// through here, and small-table statements (point lookups especially)
-	// must not pay schema qualification + pushdown planning just for the
-	// morsel path to decline.
-	workers := e.vecWorkers()
-	if !e.Vec.Force && (tbl.Len() < e.vecThreshold() || workers <= 1) {
-		return nil, false, nil
-	}
-	cs, err := e.resolveScan(sel.From[0])
-	if err != nil {
-		return nil, false, nil
-	}
-	residual := planPushdown(sel.Where, []*compiledScan{cs})
-	if cs.pushed != nil {
-		return nil, false, nil
-	}
-	snap := cs.tbl.Snapshot()
-	morsels := storage.MorselRanges(len(snap), e.vecMorselSize())
-
-	// Span shape mirrors the sequential pipeline (scan → filter → group-by or
-	// project) so EXPLAIN ANALYZE and DM_TRACE trees stay comparable; the scan
-	// label additionally records the fan-out.
-	spScan := t.StartSpan("scan", fmt.Sprintf("%s morsels=%d workers=%d", cs.label(), len(morsels), workers))
-	spScan.SetRows(int64(len(snap)))
+// runMorsel executes a parallel plan. Its span shape mirrors the sequential
+// pipeline (scan → filter → group-by or project) so EXPLAIN ANALYZE and
+// DM_TRACE trees stay comparable; the scan label additionally records the
+// fan-out.
+func (e *Engine) runMorsel(ctx context.Context, t *obs.Trace, p *selectPlan) (*rowset.Rowset, error) {
+	spScan := t.StartSpan("scan", p.scanLabel(0))
+	spScan.SetRows(int64(len(p.scans[0].rows)))
 	t.EndSpan(spScan)
 	var spF *obs.Span
-	if sel.Where != nil {
+	if p.sel.Where != nil {
 		spF = t.StartSpan("filter", "")
 		t.EndSpan(spF)
 	}
 	e.parScans.Inc()
-	e.morsels.Add(int64(len(morsels)))
-
-	var out *rowset.Rowset
-	if agg {
-		out, err = e.morselAggregate(ctx, t, sel, cs, residual, snap, morsels, workers, spF)
-	} else {
-		out, err = e.morselProject(ctx, t, sel, cs, residual, snap, morsels, workers, spF)
+	e.morsels.Add(int64(len(p.morsels)))
+	if needsAggregate(p.sel) {
+		return e.morselAggregate(ctx, t, p, spF)
 	}
-	return out, true, err
+	return e.morselProject(ctx, t, p, spF)
 }
 
 // mergeableAggregates reports whether every aggregate call site in sel
@@ -208,23 +160,25 @@ func compileValuer(e Expr, schema *rowset.Schema) valuer {
 	}
 }
 
-// morselPipeline opens the per-morsel operator chain: a slice scan over the
+// morselPipeline opens morsel mi's operator chain: a slice scan over the
 // morsel's snapshot range, plus the residual filter when the statement has a
 // WHERE. The chain reuses the exact sequential operators (including their
-// batch paths and compiled predicates), so per-morsel semantics are identical
-// by construction.
-func morselPipeline(cs *compiledScan, residual Expr, snap []rowset.Row, m storage.Morsel, hasWhere bool) rowset.Cursor {
-	var cur rowset.Cursor = newSliceCursor(cs.schema, snap[m.Lo:m.Hi])
-	if hasWhere {
-		cur = newFilterCursor(cur, residual)
+// compiled predicates), so per-morsel semantics are identical by
+// construction.
+func (p *selectPlan) morselPipeline(mi int) rowset.BatchCursor {
+	cs, m := p.scans[0], p.morsels[mi]
+	var cur rowset.BatchCursor = newSliceCursor(cs.schema, cs.rows[m.Lo:m.Hi])
+	if p.sel.Where != nil {
+		cur = newFilterCursor(cur, p.residual)
 	}
 	return cur
 }
 
 // morselProject is the non-aggregating morsel path: scan → filter → project
-// per morsel, merged in morsel order, then TOP truncation.
-func (e *Engine) morselProject(ctx context.Context, t *obs.Trace, sel *SelectStmt, cs *compiledScan, residual Expr, snap []rowset.Row, morsels []storage.Morsel, workers int, spF *obs.Span) (*rowset.Rowset, error) {
-	items, err := expandStars(sel.Items, cs.schema)
+// per morsel, merged in morsel order.
+func (e *Engine) morselProject(ctx context.Context, t *obs.Trace, p *selectPlan, spF *obs.Span) (*rowset.Rowset, error) {
+	schema := p.scans[0].schema
+	items, err := expandStars(p.sel.Items, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -232,27 +186,26 @@ func (e *Engine) morselProject(ctx context.Context, t *obs.Trace, sel *SelectStm
 	spProj := t.StartSpan("project", "")
 	t.EndSpan(spProj)
 
-	outs := make([][]rowset.Row, len(morsels))
-	var batches atomic.Int64
-	err = par.ForEachCtx(ctx, len(morsels), workers, func(mi int) error {
-		cur := morselPipeline(cs, residual, snap, morsels[mi], sel.Where != nil)
+	outs := make([][]rowset.Row, len(p.morsels))
+	err = par.ForEachCtx(ctx, len(p.morsels), p.workers, func(mi int) error {
+		cur := p.morselPipeline(mi)
 		proj, err := newProjectCursor(cur, items, names, nil)
 		if err != nil {
 			cur.Close() //nolint:errcheck // already failing
 			return err
 		}
-		rows, nb, err := drainRowsCounted(proj)
+		m := p.morsels[mi]
+		rows, batches, err := drainRows(proj, m.Hi-m.Lo)
+		e.batches.Add(batches)
 		if err != nil {
 			return err
 		}
 		outs[mi] = rows
-		batches.Add(nb)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.batches.Add(batches.Load())
 
 	total := 0
 	for _, part := range outs {
@@ -264,14 +217,11 @@ func (e *Engine) morselProject(ctx context.Context, t *obs.Trace, sel *SelectStm
 	}
 	spF.SetRows(int64(total))
 	spProj.SetRows(int64(total))
-	if sel.Top > 0 && len(rows) > sel.Top {
-		rows = rows[:sel.Top]
-	}
-	schema, err := outputSchema(items, names, cs.schema, rows)
+	outSchema, err := outputSchema(items, names, schema, rows)
 	if err != nil {
 		return nil, err
 	}
-	return rowset.Adopt(schema, rows), nil
+	return rowset.Adopt(outSchema, rows), nil
 }
 
 // aggState is one aggregate call site's mergeable partial state within one
@@ -478,7 +428,8 @@ func (a *aggAccum) finish(sel *SelectStmt, schema *rowset.Schema) []finishedGrou
 // (first-seen group order and representative rows therefore match the
 // sequential scan), finalizes each aggregate, and hands the groups to the
 // shared finishing stage.
-func (e *Engine) morselAggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, cs *compiledScan, residual Expr, snap []rowset.Row, morsels []storage.Morsel, workers int, spF *obs.Span) (*rowset.Rowset, error) {
+func (e *Engine) morselAggregate(ctx context.Context, t *obs.Trace, p *selectPlan, spF *obs.Span) (*rowset.Rowset, error) {
+	sel, schema := p.sel, p.scans[0].schema
 	aggs, err := statementAggs(sel)
 	if err != nil {
 		return nil, err // unreachable: mergeableAggregates vetted the statement
@@ -486,40 +437,20 @@ func (e *Engine) morselAggregate(ctx context.Context, t *obs.Trace, sel *SelectS
 	spAgg := t.StartSpan("group-by", "")
 	defer t.EndSpan(spAgg)
 
-	parts := make([]*aggAccum, len(morsels))
-	var batches atomic.Int64
-	err = par.ForEachCtx(ctx, len(morsels), workers, func(mi int) error {
-		cur := morselPipeline(cs, residual, snap, morsels[mi], sel.Where != nil)
-		defer cur.Close() //nolint:errcheck // engine cursors fail only via Next
-		acc := newAggAccum(sel, aggs, cs.schema)
+	parts := make([]*aggAccum, len(p.morsels))
+	err = par.ForEachCtx(ctx, len(p.morsels), p.workers, func(mi int) error {
+		acc := newAggAccum(sel, aggs, schema)
 		parts[mi] = acc
-		bc := rowset.BatchCursorOf(cur)
-		for {
-			b, err := bc.NextBatch()
-			if err != nil {
-				return err
-			}
-			if b.Empty() {
-				return nil
-			}
-			batches.Add(1)
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				if err := acc.observe(b.Row(i)); err != nil {
-					return err
-				}
-			}
-		}
+		return e.drainInto(p.morselPipeline(mi), acc.observe)
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.batches.Add(batches.Load())
 
 	// Merge the per-morsel partials in morsel order into the first one, so the
 	// merged accumulator's first-seen group order matches the sequential scan.
 	if len(parts) == 0 { // empty snapshot under Force: no morsels at all
-		parts = []*aggAccum{newAggAccum(sel, aggs, cs.schema)}
+		parts = []*aggAccum{newAggAccum(sel, aggs, schema)}
 	}
 	sink := parts[0]
 	var rowsIn int64
@@ -540,7 +471,7 @@ func (e *Engine) morselAggregate(ctx context.Context, t *obs.Trace, sel *SelectS
 	}
 	spF.SetRows(rowsIn)
 
-	out, err := finishAggregate(sel, cs.schema, sink.finish(sel, cs.schema))
+	out, err := finishAggregate(sel, schema, sink.finish(sel, schema))
 	if err != nil {
 		return nil, err
 	}

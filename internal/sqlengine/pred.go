@@ -24,15 +24,21 @@ const (
 // pred3 evaluates one predicate node over a row in three-valued logic.
 type pred3 func(r rowset.Row) tv
 
-// compilePred compiles cond against schema into a pass/fail row predicate
-// (a row passes iff the condition evaluates to exactly TRUE, matching
-// Truthy). ok=false means the condition is outside the compilable grammar.
-func compilePred(cond Expr, schema *rowset.Schema) (func(r rowset.Row) bool, bool) {
-	p, ok := compile3(cond, schema)
-	if !ok {
-		return nil, false
+// compilePred compiles cond against schema into a row predicate: a row
+// passes iff the condition evaluates to exactly TRUE, matching Truthy.
+// Conditions inside the compilable grammar run as a closure tree that cannot
+// fail; anything else falls back to Eval, which may. The choice is made once,
+// here, so the filter loop has a single shape. The returned closure owns an
+// Env, so each goroutine must compile its own.
+func compilePred(cond Expr, schema *rowset.Schema) func(r rowset.Row) (bool, error) {
+	if p, ok := compile3(cond, schema); ok {
+		return func(r rowset.Row) (bool, error) { return p(r) == tvTrue, nil }
 	}
-	return func(r rowset.Row) bool { return p(r) == tvTrue }, true
+	env := &Env{Schema: schema}
+	return func(r rowset.Row) (bool, error) {
+		env.Row = r
+		return evalCond(cond, env)
+	}
 }
 
 func compile3(e Expr, schema *rowset.Schema) (pred3, bool) {

@@ -173,7 +173,7 @@ func skewedJoinTables(b *testing.B, small, big int) (*Engine, []rowset.Row, []ro
 
 // BenchmarkSkewedJoinBuildSide measures the hash-join build-side choice on a
 // skewed join (8 rows against 20000): "small" builds the hash table on the
-// tiny input (what newJoinCursor picks when the small side is on the left),
+// tiny input (what planSelect picks when the small side is on the left),
 // "big" is the old unconditional build-on-right behaviour.
 func BenchmarkSkewedJoinBuildSide(b *testing.B) {
 	_, smallRows, bigRows, ss, bs := skewedJoinTables(b, 8, 20000)
@@ -187,15 +187,21 @@ func BenchmarkSkewedJoinBuildSide(b *testing.B) {
 	}
 	sq, bq := qualify(ss, "S"), qualify(bs, "B")
 
-	run := func(b *testing.B, mk func() (rowset.Cursor, error)) {
+	schema, err := concatSchemas(sq, bq)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, ro, ok := equiJoinOrdinals(on, sq, bq)
+	if !ok {
+		b.Fatal("not an equi-join")
+	}
+	run := func(b *testing.B, strategy joinStrategy) {
 		b.Helper()
 		b.ReportAllocs()
+		jp := &joinPlan{kind: JoinInner, on: on, schema: schema, strategy: strategy, lo: lo, ro: ro}
 		for i := 0; i < b.N; i++ {
-			c, err := mk()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows, err := drainRows(c)
+			c := newJoinCursor(newSliceCursor(sq, smallRows), newSliceCursor(bq, bigRows), jp, len(smallRows), len(bigRows), 0)
+			rows, _, err := drainRows(c, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -204,30 +210,10 @@ func BenchmarkSkewedJoinBuildSide(b *testing.B) {
 			}
 		}
 	}
-	b.Run("build-small", func(b *testing.B) {
-		run(b, func() (rowset.Cursor, error) {
-			c, _, err := newJoinCursor(newSliceCursor(sq, smallRows), newSliceCursor(bq, bigRows), JoinInner, on, -1, -1)
-			return c, err
-		})
-	})
-	b.Run("build-big", func(b *testing.B) {
-		run(b, func() (rowset.Cursor, error) {
-			// Forced build-on-right with the big input on the right: the
-			// pre-rewrite executor's only strategy.
-			schema, err := concatSchemas(sq, bq)
-			if err != nil {
-				return nil, err
-			}
-			lo, ro, ok := equiJoinOrdinals(on, sq, bq)
-			if !ok {
-				return nil, fmt.Errorf("not an equi-join")
-			}
-			return &hashJoinStream{
-				left: newSliceCursor(sq, smallRows), right: newSliceCursor(bq, bigRows),
-				schema: schema, lo: lo, ro: ro,
-			}, nil
-		})
-	})
+	b.Run("build-small", func(b *testing.B) { run(b, joinBuildLeft) })
+	// Forced build-on-right with the big input on the right: the pre-rewrite
+	// executor's only strategy.
+	b.Run("build-big", func(b *testing.B) { run(b, joinBuildRight) })
 }
 
 // BenchmarkSkewedJoinSQL is the same skew through the full SQL pipeline, with

@@ -1,15 +1,15 @@
 package sqlengine
 
-// This file is the streaming (Volcano-style) SELECT executor: the FROM/WHERE/
-// project/sort/distinct/TOP pipeline is compiled into a chain of pull-based
-// rowset.Cursor operators, and rows flow through one at a time instead of
-// being materialized into a fresh Rowset at every operator boundary.
+// This file holds the SELECT executor's operators. Every operator speaks one
+// contract, rowset.BatchCursor: a pull returns up to rowset.DefaultBatchSize
+// rows, and filters mark survivors in a selection vector instead of copying
+// them. planSelect (plan.go) decides the operator chain once per execution.
 //
 // Operators that pipeline: scan, filter, equi-join probe side, projection,
 // DISTINCT, and TOP (which stops pulling — and therefore stops all upstream
-// work — after N rows). Operators that materialize, because their semantics
-// require seeing every input row first: ORDER BY, GROUP BY, and the hash-join
-// build side.
+// work — once it has N rows). Operators that materialize, because their
+// semantics require seeing every input row first: ORDER BY, GROUP BY, and the
+// hash-join build side.
 //
 // Scans are index-aware: a WHERE conjunct of the form `col = literal` whose
 // column resolves to exactly one FROM entry with a hash index is answered by
@@ -29,25 +29,33 @@ import (
 
 // ---------- generic cursors ----------
 
-// sliceCursor streams a pre-built row slice under an arbitrary schema. Rows
-// are shared, never copied.
+// sliceCursor streams a pre-built row slice under an arbitrary schema in
+// zero-copy batches. Rows are shared, never copied. The first batch holds
+// firstBatchSize rows and each later one twice as many as the last, up to
+// rowset.DefaultBatchSize: a statement that stops early (TOP) pays for a
+// small batch, while a long scan runs at full size after four pulls.
 type sliceCursor struct {
 	schema *rowset.Schema
 	rows   []rowset.Row
 	i      int
+	size   int // rows in the last batch
 }
+
+const firstBatchSize = 64
 
 func newSliceCursor(schema *rowset.Schema, rows []rowset.Row) *sliceCursor {
 	return &sliceCursor{schema: schema, rows: rows}
 }
 
-func (c *sliceCursor) Next() (rowset.Row, error) {
+func (c *sliceCursor) NextBatch() (rowset.Batch, error) {
 	if c.i >= len(c.rows) {
-		return nil, nil
+		return rowset.Batch{}, nil
 	}
-	r := c.rows[c.i]
-	c.i++
-	return r, nil
+	c.size = min(max(2*c.size, firstBatchSize), rowset.DefaultBatchSize)
+	hi := min(c.i+c.size, len(c.rows))
+	b := rowset.Batch{Rows: c.rows[c.i:hi]}
+	c.i = hi
+	return b, nil
 }
 
 func (c *sliceCursor) Schema() *rowset.Schema { return c.schema }
@@ -58,60 +66,18 @@ func (c *sliceCursor) Close() error {
 	return nil
 }
 
-// Size reports the exact number of rows the cursor will yield.
-func (c *sliceCursor) Size() int { return len(c.rows) }
-
-// NextBatch yields zero-copy subslices of the backing rows.
-func (c *sliceCursor) NextBatch() (rowset.Batch, error) {
-	if c.i >= len(c.rows) {
-		return rowset.Batch{}, nil
-	}
-	hi := c.i + rowset.DefaultBatchSize
-	if hi > len(c.rows) {
-		hi = len(c.rows)
-	}
-	b := rowset.Batch{Rows: c.rows[c.i:hi]}
-	c.i = hi
-	return b, nil
-}
-
-// schemaCursor renames a stream's schema (table columns -> "alias.column")
-// without touching the rows.
-type schemaCursor struct {
-	src    rowset.Cursor
-	schema *rowset.Schema
-	bsrc   rowset.BatchCursor
-}
-
-func (c *schemaCursor) Next() (rowset.Row, error) { return c.src.Next() }
-func (c *schemaCursor) Schema() *rowset.Schema    { return c.schema }
-func (c *schemaCursor) Close() error              { return c.src.Close() }
-func (c *schemaCursor) Size() int                 { return cursorSize(c.src) }
-
-func (c *schemaCursor) NextBatch() (rowset.Batch, error) {
-	if c.bsrc == nil {
-		c.bsrc = rowset.BatchCursorOf(c.src)
-	}
-	return c.bsrc.NextBatch()
-}
-
-// cancelCursor threads context cancellation into the pull pipeline: Next
-// polls ctx.Done() every pollEvery rows, so a cancelled statement stops
-// pulling — and therefore stops every upstream operator — mid-stream
-// instead of running the scan to completion. QueryContext inserts it only
-// when the context is actually cancellable (Done() != nil), keeping the
+// cancelCursor threads context cancellation into the pull pipeline.
+// Upstream batches are doled out in windows of at most pollEvery rows, with a
+// poll of ctx.Done() before each window, so a cancelled statement stops
+// pulling — and therefore stops every upstream operator — within pollEvery
+// rows instead of running the scan to completion. QueryContext inserts it
+// only when the context is actually cancellable (Done() != nil), keeping the
 // common Background path allocation- and branch-free.
 type cancelCursor struct {
-	src  rowset.Cursor
+	src  rowset.BatchCursor
 	ctx  context.Context
 	done <-chan struct{}
-	n    uint
 
-	// batch mode: upstream batches are doled out in sub-batch windows of at
-	// most pollEvery rows, with a poll before each window, so cancellation
-	// latency stays at the row path's bound instead of stretching by the
-	// batch size.
-	bsrc    rowset.BatchCursor
 	pending rowset.Batch
 	wlo     int
 }
@@ -121,22 +87,7 @@ type cancelCursor struct {
 // no measurable per-row cost.
 const pollEvery = 64
 
-func (c *cancelCursor) Next() (rowset.Row, error) {
-	if c.n%pollEvery == 0 {
-		select {
-		case <-c.done:
-			return nil, c.ctx.Err()
-		default:
-		}
-	}
-	c.n++
-	return c.src.Next()
-}
-
 func (c *cancelCursor) NextBatch() (rowset.Batch, error) {
-	if c.bsrc == nil {
-		c.bsrc = rowset.BatchCursorOf(c.src)
-	}
 	for {
 		// One poll per loop turn: before the first window of every upstream
 		// batch (which also aborts a pre-cancelled statement before any row
@@ -147,15 +98,12 @@ func (c *cancelCursor) NextBatch() (rowset.Batch, error) {
 		default:
 		}
 		if c.wlo < c.pending.Len() {
-			hi := c.wlo + pollEvery
-			if hi > c.pending.Len() {
-				hi = c.pending.Len()
-			}
+			hi := min(c.wlo+pollEvery, c.pending.Len())
 			b := c.pending.Slice(c.wlo, hi)
 			c.wlo = hi
 			return b, nil
 		}
-		b, err := c.bsrc.NextBatch()
+		b, err := c.src.NextBatch()
 		if err != nil || b.Empty() {
 			return b, err
 		}
@@ -165,138 +113,90 @@ func (c *cancelCursor) NextBatch() (rowset.Batch, error) {
 
 func (c *cancelCursor) Schema() *rowset.Schema { return c.src.Schema() }
 func (c *cancelCursor) Close() error           { return c.src.Close() }
-func (c *cancelCursor) Size() int              { return cursorSize(c.src) }
 
-// sized is implemented by cursors that know exactly how many rows they will
-// yield (table snapshots, slices, materialized views). Join planning uses it
-// to pick the smaller hash-join build side.
-type sized interface{ Size() int }
-
-// cursorSize returns the cursor's exact cardinality, or -1 when unknown.
-func cursorSize(c rowset.Cursor) int {
-	if s, ok := c.(sized); ok {
-		return s.Size()
-	}
-	return -1
-}
-
-// smallDrainSize is the source cardinality below which drains stay
-// row-at-a-time even over a batch-capable pipeline: the batch path's fixed
-// per-statement setup (adapter wrappers, selection vectors, output arenas)
-// costs more than the per-row interface calls it amortizes. Indexed point
-// lookups — whose probe gives an exact size hint of a few rows — are the
-// case that matters.
-const smallDrainSize = 64
-
-// drainRows pulls a cursor to exhaustion, returning the yielded rows. The
-// cursor is closed in every case. Batch-capable cursors drain batch-at-a-time
-// (one interface call per batch instead of per row); live rows are copied out
-// of the producer-owned batches, which is safe to retain because engine rows
-// are immutable.
-func drainRows(c rowset.Cursor) ([]rowset.Row, error) {
-	rows, _, err := drainRowsCounted(c)
-	return rows, err
-}
-
-// drainRowsCounted is drainRows reporting how many batches flowed (0 on the
-// row path), for the engine's sql_batches_total counter.
-func drainRowsCounted(c rowset.Cursor) ([]rowset.Row, int64, error) {
+// drain pulls c to exhaustion, handing every batch to fn, and closes c in
+// every case. It returns how many batches flowed, for the engine's
+// sql_batches_total counter.
+func drain(c rowset.BatchCursor, fn func(b rowset.Batch) error) (int64, error) {
 	defer c.Close() //nolint:errcheck // Close after exhaustion is a no-op
-	var rows []rowset.Row
-	n := cursorSize(c)
-	if n > 0 {
-		rows = make([]rowset.Row, 0, n) // upper bound: filters shrink it
-	}
-	if bc, ok := c.(rowset.BatchCursor); ok && (n < 0 || n > smallDrainSize) {
-		var batches int64
-		for {
-			b, err := bc.NextBatch()
-			if err != nil {
-				return nil, batches, err
-			}
-			if b.Empty() {
-				return rows, batches, nil
-			}
-			batches++
-			if b.Sel == nil {
-				rows = append(rows, b.Rows...)
-			} else {
-				for _, i := range b.Sel {
-					rows = append(rows, b.Rows[i])
-				}
-			}
-		}
-	}
+	var batches int64
 	for {
-		r, err := c.Next()
+		b, err := c.NextBatch()
 		if err != nil {
-			return nil, 0, err
+			return batches, err
 		}
-		if r == nil {
-			return rows, 0, nil
+		if b.Empty() {
+			return batches, nil
 		}
-		rows = append(rows, r)
+		batches++
+		if err := fn(b); err != nil {
+			return batches, err
+		}
 	}
+}
+
+// appendLive appends b's live rows to rows. Retaining the rows themselves is
+// safe: engine rows are immutable, only the batch's slices are
+// producer-owned.
+func appendLive(rows []rowset.Row, b rowset.Batch) []rowset.Row {
+	if b.Sel == nil {
+		return append(rows, b.Rows...)
+	}
+	for _, i := range b.Sel {
+		rows = append(rows, b.Rows[i])
+	}
+	return rows
+}
+
+// drainRows drains c into a row slice, preallocated to capHint rows when the
+// caller knows an upper bound (0 when it does not).
+func drainRows(c rowset.BatchCursor, capHint int) ([]rowset.Row, int64, error) {
+	rows := make([]rowset.Row, 0, capHint)
+	batches, err := drain(c, func(b rowset.Batch) error {
+		rows = appendLive(rows, b)
+		return nil
+	})
+	if err != nil {
+		return nil, batches, err
+	}
+	return rows, batches, nil
 }
 
 // ---------- span accounting ----------
 
 // opCursor decorates an operator cursor with span accounting: the rows that
-// actually flow through the operator, and — only under EXPLAIN ANALYZE's
-// detailed mode, because it costs two clock reads per row — the operator's
-// inclusive time (its own work plus upstream pulls). The span was opened and
-// closed at pipeline build time; its Rows/Elapsed fields are patched when the
-// stream ends, which is before anyone reads the tree (EXPLAIN ANALYZE reads
-// after execution, DM_TRACE retains trees only after the statement finishes).
+// actually flow through the operator, the number of batches they came in,
+// and — only under EXPLAIN ANALYZE's detailed mode, because it costs two
+// clock reads per pull — the operator's inclusive time (its own work plus
+// upstream pulls). The span was opened and closed at pipeline build time;
+// its Rows/Elapsed fields are patched when the stream ends, which is before
+// anyone reads the tree (EXPLAIN ANALYZE reads after execution, DM_TRACE
+// retains trees only after the statement finishes).
 type opCursor struct {
-	src     rowset.Cursor
+	src     rowset.BatchCursor
 	sp      *obs.Span
 	rows    int64
 	timed   bool
 	elapsed time.Duration
-
-	bsrc    rowset.BatchCursor
 	batches int64
 	labeled bool
 }
 
 // traced wraps c with span accounting, or returns c unchanged when the
 // statement is untraced (sp nil) so untraced execution pays nothing.
-func traced(c rowset.Cursor, sp *obs.Span, timed bool) rowset.Cursor {
+func traced(c rowset.BatchCursor, sp *obs.Span, timed bool) rowset.BatchCursor {
 	if sp == nil {
 		return c
 	}
 	return &opCursor{src: c, sp: sp, timed: timed}
 }
 
-func (o *opCursor) Next() (rowset.Row, error) {
-	var start time.Time
-	if o.timed {
-		start = time.Now()
-	}
-	r, err := o.src.Next()
-	if o.timed {
-		o.elapsed += time.Since(start)
-	}
-	if r != nil {
-		o.rows++
-	} else {
-		o.flush()
-	}
-	return r, err
-}
-
-// NextBatch accounts batch pulls the same way Next accounts rows, and also
-// counts batches so the span label can record the operator's batch fan-in.
 func (o *opCursor) NextBatch() (rowset.Batch, error) {
-	if o.bsrc == nil {
-		o.bsrc = rowset.BatchCursorOf(o.src)
-	}
 	var start time.Time
 	if o.timed {
 		start = time.Now()
 	}
-	b, err := o.bsrc.NextBatch()
+	b, err := o.src.NextBatch()
 	if o.timed {
 		o.elapsed += time.Since(start)
 	}
@@ -316,8 +216,6 @@ func (o *opCursor) Close() error {
 	return o.src.Close()
 }
 
-func (o *opCursor) Size() int { return cursorSize(o.src) }
-
 func (o *opCursor) flush() {
 	o.sp.Rows = o.rows
 	if o.timed {
@@ -333,111 +231,69 @@ func (o *opCursor) flush() {
 	}
 }
 
-// ---------- filter ----------
+// ---------- filter / distinct / limit ----------
 
+// filterCursor narrows each upstream batch's selection vector to the rows
+// pass accepts: survivors are marked, not copied. The returned batch aliases
+// the upstream batch's rows, which stay valid until this cursor's next pull —
+// exactly the window the ownership rule grants the consumer.
 type filterCursor struct {
-	src  rowset.Cursor
-	cond Expr // nil passes everything (the whole WHERE was pushed into a scan)
-	env  *Env
-
-	// pred is the compiled form of cond when the predicate compiler admits
-	// it (see pred.go): same rows pass, no Env, no error paths.
-	pred func(rowset.Row) bool
-
-	bsrc rowset.BatchCursor
+	src  rowset.BatchCursor
+	pass func(rowset.Row) (bool, error) // nil passes everything
 	sel  []int
 }
 
-func newFilterCursor(src rowset.Cursor, cond Expr) *filterCursor {
-	c := &filterCursor{src: src, cond: cond, env: &Env{Schema: src.Schema()}}
+// newFilterCursor filters src by cond; a nil cond (the whole WHERE was pushed
+// into a scan) passes everything.
+func newFilterCursor(src rowset.BatchCursor, cond Expr) *filterCursor {
+	c := &filterCursor{src: src}
 	if cond != nil {
-		c.pred, _ = compilePred(cond, src.Schema())
+		c.pass = compilePred(cond, src.Schema())
 	}
 	return c
 }
 
-func (c *filterCursor) Next() (rowset.Row, error) {
-	for {
-		r, err := c.src.Next()
-		if err != nil || r == nil {
-			return r, err
+// newDistinctCursor keeps the first occurrence of every distinct row: a
+// filter whose predicate remembers the rows it has passed.
+func newDistinctCursor(src rowset.BatchCursor) *filterCursor {
+	seen := make(map[string]struct{})
+	var scratch []byte
+	return &filterCursor{src: src, pass: func(r rowset.Row) (bool, error) {
+		scratch = scratch[:0]
+		for _, v := range r {
+			scratch = rowset.AppendKey(scratch, v)
+			scratch = append(scratch, '|')
 		}
-		if c.cond == nil {
-			return r, nil
+		if _, dup := seen[string(scratch)]; dup {
+			return false, nil
 		}
-		if c.pred != nil {
-			if c.pred(r) {
-				return r, nil
-			}
-			continue
-		}
-		c.env.Row = r
-		v, err := Eval(c.cond, c.env)
-		if err != nil {
-			return nil, err
-		}
-		ok, err := Truthy(v)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return r, nil
-		}
-	}
+		seen[string(scratch)] = struct{}{}
+		return true, nil
+	}}
 }
 
-// NextBatch filters a whole upstream batch with a selection vector: survivors
-// are marked, not copied. The returned batch aliases the upstream batch's
-// rows, which stay valid until this cursor's next pull — exactly the window
-// the ownership rule grants the consumer.
 func (c *filterCursor) NextBatch() (rowset.Batch, error) {
-	if c.bsrc == nil {
-		c.bsrc = rowset.BatchCursorOf(c.src)
-	}
 	for {
-		b, err := c.bsrc.NextBatch()
-		if err != nil || b.Empty() {
+		b, err := c.src.NextBatch()
+		if err != nil || b.Empty() || c.pass == nil {
 			return b, err
 		}
-		if c.cond == nil {
-			return b, nil
+		n := b.Len()
+		if cap(c.sel) < n {
+			c.sel = make([]int, 0, n)
 		}
 		sel := c.sel[:0]
-		if c.pred != nil {
-			if b.Sel == nil {
-				for i, r := range b.Rows {
-					if c.pred(r) {
-						sel = append(sel, i)
-					}
-				}
-			} else {
-				for _, i := range b.Sel {
-					if c.pred(b.Rows[i]) {
-						sel = append(sel, i)
-					}
-				}
+		for i := 0; i < n; i++ {
+			ri := i
+			if b.Sel != nil {
+				ri = b.Sel[i]
 			}
-		} else {
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				r := b.Row(i)
-				c.env.Row = r
-				v, err := Eval(c.cond, c.env)
-				if err != nil {
-					return rowset.Batch{}, err
-				}
-				ok, err := Truthy(v)
-				if err != nil {
-					return rowset.Batch{}, err
-				}
-				if !ok {
-					continue
-				}
-				if b.Sel == nil {
-					sel = append(sel, i)
-				} else {
-					sel = append(sel, b.Sel[i])
-				}
+			ok, err := c.pass(b.Rows[ri])
+			if err != nil {
+				return rowset.Batch{}, err
+			}
+			if ok {
+				sel = append(sel, ri)
 			}
 		}
 		c.sel = sel
@@ -451,64 +307,31 @@ func (c *filterCursor) NextBatch() (rowset.Batch, error) {
 func (c *filterCursor) Schema() *rowset.Schema { return c.src.Schema() }
 func (c *filterCursor) Close() error           { return c.src.Close() }
 
-// Size forwards the source's cardinality as an upper bound (the filter can
-// only shrink it) — callers of cursorSize already treat it as a hint.
-func (c *filterCursor) Size() int { return cursorSize(c.src) }
-
-// ---------- limit / distinct ----------
-
+// limitCursor is TOP n: it trims the batch that reaches n rows and closes its
+// source on the next pull instead of draining it, so upstream work stops at
+// the batch holding the nth row.
 type limitCursor struct {
-	src rowset.Cursor
+	src rowset.BatchCursor
 	n   int
 }
 
-func (c *limitCursor) Next() (rowset.Row, error) {
+func (c *limitCursor) NextBatch() (rowset.Batch, error) {
 	if c.n <= 0 {
-		// Early exit: release upstream state without draining it.
-		return nil, c.src.Close()
+		return rowset.Batch{}, c.src.Close()
 	}
-	r, err := c.src.Next()
-	if r != nil {
-		c.n--
+	b, err := c.src.NextBatch()
+	if err != nil || b.Empty() {
+		return b, err
 	}
-	return r, err
+	if b.Len() > c.n {
+		b = b.Slice(0, c.n)
+	}
+	c.n -= b.Len()
+	return b, nil
 }
 
 func (c *limitCursor) Schema() *rowset.Schema { return c.src.Schema() }
 func (c *limitCursor) Close() error           { return c.src.Close() }
-
-type distinctCursor struct {
-	src     rowset.Cursor
-	seen    map[string]struct{}
-	scratch []byte
-}
-
-func newDistinctCursor(src rowset.Cursor) *distinctCursor {
-	return &distinctCursor{src: src, seen: make(map[string]struct{})}
-}
-
-func (c *distinctCursor) Next() (rowset.Row, error) {
-	for {
-		r, err := c.src.Next()
-		if err != nil || r == nil {
-			return r, err
-		}
-		buf := c.scratch[:0]
-		for _, v := range r {
-			buf = rowset.AppendKey(buf, v)
-			buf = append(buf, '|')
-		}
-		c.scratch = buf
-		if _, dup := c.seen[string(buf)]; dup {
-			continue
-		}
-		c.seen[string(buf)] = struct{}{}
-		return r, nil
-	}
-}
-
-func (c *distinctCursor) Schema() *rowset.Schema { return c.src.Schema() }
-func (c *distinctCursor) Close() error           { return c.src.Close() }
 
 // ---------- scans and pushdown ----------
 
@@ -520,19 +343,25 @@ type pushedEq struct {
 }
 
 // compiledScan is one FROM entry resolved against the catalog before any
-// cursor opens: its qualified schema, the backing table or materialized view,
-// and (after planPushdown) an optional index-applied equality.
+// cursor opens: its qualified schema, the backing table (nil for a view),
+// (after planPushdown) an optional index-applied equality, and (after
+// planSelect) the rows the scan yields.
 type compiledScan struct {
 	ref    TableRef
 	schema *rowset.Schema
 	tbl    *storage.Table // nil for views
-	view   *rowset.Rowset // nil for tables
 	pushed *pushedEq
 
-	// estimate is the scan's expected output cardinality: exact for views and
-	// unpushed table scans, rows/distinct from table statistics for pushed
-	// equalities. Join planning falls back to it when exact cursor sizes are
-	// unavailable.
+	// rows is the scan's output: the materialized view's rows, the pushed
+	// equality's index bucket, or a point-in-time table snapshot. Rows pass
+	// through shared and un-renormalized: table rows were coerced on insert,
+	// view rows were normalized when the view query materialized.
+	rows []rowset.Row
+
+	// estimate is the scan's expected output cardinality, reported in its
+	// span label: exact for views and unpushed table scans, rows/distinct
+	// from table statistics for pushed equalities (which picks the most
+	// selective probe).
 	estimate int
 }
 
@@ -561,7 +390,7 @@ func (e *Engine) resolveScan(ref TableRef) (*compiledScan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sqlengine: view %s: %w", ref.Name, err)
 		}
-		cs.view = vr
+		cs.rows = vr.Rows()
 		cs.estimate = vr.Len()
 		base = vr.Schema()
 	} else {
@@ -586,28 +415,12 @@ func (e *Engine) resolveScan(ref TableRef) (*compiledScan, error) {
 	return cs, nil
 }
 
-// open builds the scan's cursor and records its span. Rows pass through
-// shared and un-renormalized: table rows were coerced on insert, view rows
-// were normalized when the view query materialized.
-func (cs *compiledScan) open(t *obs.Trace, detailed bool) (rowset.Cursor, error) {
-	sp := t.StartSpan("scan", cs.label())
-	var cur rowset.Cursor
-	switch {
-	case cs.view != nil:
-		cur = newSliceCursor(cs.schema, cs.view.Rows())
-	case cs.pushed != nil:
-		rows, err := cs.tbl.LookupEqualRows(cs.pushed.col, cs.pushed.val)
-		if err != nil {
-			t.EndSpan(sp)
-			return nil, err
-		}
-		cur = newSliceCursor(cs.schema, rows)
-	default:
-		cur = &schemaCursor{src: cs.tbl.Cursor(), schema: cs.schema}
-	}
-	sp.SetRows(int64(cursorSize(cur)))
+// open builds the scan's cursor and records its span under label.
+func (cs *compiledScan) open(t *obs.Trace, label string, detailed bool) rowset.BatchCursor {
+	sp := t.StartSpan("scan", label)
+	sp.SetRows(int64(len(cs.rows)))
 	t.EndSpan(sp)
-	return traced(cur, sp, detailed), nil
+	return traced(newSliceCursor(cs.schema, cs.rows), sp, detailed)
 }
 
 // label renders the scan for span output: the FROM alias, the pushed index
@@ -783,80 +596,12 @@ func indexableEq(colType rowset.Type, v rowset.Value) bool {
 	return false
 }
 
-// buildSourceCursor compiles the FROM clause into one cursor whose columns
-// are qualified "alias.column", recording scan and join spans in the same
-// order PlanSpan declares them. It returns the residual WHERE predicate after
-// index pushdown.
-func (e *Engine) buildSourceCursor(t *obs.Trace, sel *SelectStmt) (rowset.Cursor, Expr, error) {
-	if len(sel.From) == 0 {
-		// FROM-less SELECT evaluates items once against an empty row.
-		return newSliceCursor(rowset.MustSchema(), []rowset.Row{{}}), sel.Where, nil
-	}
-	detailed := t.Detailed()
-	scans := make([]*compiledScan, len(sel.From))
-	for i, ref := range sel.From {
-		cs, err := e.resolveScan(ref)
-		if err != nil {
-			return nil, nil, err
-		}
-		scans[i] = cs
-	}
-	residual := planPushdown(sel.Where, scans)
-
-	acc, err := scans[0].open(t, detailed)
-	if err != nil {
-		return nil, nil, err
-	}
-	accEst := scans[0].estimate
-	for _, cs := range scans[1:] {
-		right, err := cs.open(t, detailed)
-		if err != nil {
-			acc.Close() //nolint:errcheck // already failing
-			return nil, nil, err
-		}
-		jc, strategy, err := newJoinCursor(acc, right, cs.ref.Kind, cs.ref.On, accEst, cs.estimate)
-		if err != nil {
-			acc.Close()   //nolint:errcheck // already failing
-			right.Close() //nolint:errcheck // already failing
-			return nil, nil, err
-		}
-		// Large hash-join builds precompute their keys on parallel workers.
-		switch hj := jc.(type) {
-		case *hashJoinStream:
-			hj.workers = e.vecWorkers()
-		case *hashJoinBuildLeft:
-			hj.workers = e.vecWorkers()
-		}
-		sp := t.StartSpan("join", joinLabel(cs.ref.Kind, strategy))
-		t.EndSpan(sp)
-		acc = traced(jc, sp, detailed)
-		accEst = joinEstimate(accEst, cs.estimate, cs.ref.Kind)
-	}
-	return acc, residual, nil
-}
-
-// joinLabel renders a join span label: the join kind plus the strategy the
-// planner picked ("build=left", "build=right", or "loop").
-func joinLabel(kind JoinKind, strategy string) string {
-	if strategy == "" {
-		return joinKindLabel(kind)
-	}
-	return joinKindLabel(kind) + " " + strategy
-}
-
-// joinEstimate propagates cardinality estimates across one join step. It is
+// joinEstimate propagates cardinality across one join step. It is
 // deliberately coarse: cross joins multiply, equi and general joins keep the
-// larger input (a safe upper bound for one-to-many key joins). A negative
-// input marks an unknown and poisons the result.
+// larger input (a safe upper bound for one-to-many key joins).
 func joinEstimate(l, r int, kind JoinKind) int {
-	if l < 0 || r < 0 {
-		return -1
-	}
 	if kind == JoinCross {
 		return l * r
 	}
-	if l > r {
-		return l
-	}
-	return r
+	return max(l, r)
 }

@@ -8,10 +8,11 @@ import (
 	"repro/tools/dmlint/internal/analysis"
 )
 
-// CursorClose proves that every rowset.Cursor a function acquires — from
-// (*Rowset).Cursor(), (*Table).Cursor(), rowset.CursorOf, or any operator
-// constructor whose result implements the Cursor interface — reaches
-// Close on every path out of the function, including error returns and
+// CursorClose proves that every rowset.Cursor or rowset.BatchCursor a
+// function acquires — from (*Rowset).Cursor(), (*Table).Cursor(),
+// rowset.CursorOf, rowset.BatchCursorOf, or any operator constructor whose
+// result implements either interface — reaches Close on every path out of
+// the function, including error returns and
 // early TOP/cancellation exits. Passing a cursor to another call,
 // returning it, or storing it in a field/slice/map/closure transfers
 // ownership (the PR5 Cursor contract: whoever holds the cursor closes
@@ -20,12 +21,12 @@ import (
 // repro/internal/ — the streaming executor's highest-risk leak class.
 var CursorClose = &analysis.Analyzer{
 	Name: "cursorclose",
-	Doc:  "every acquired rowset.Cursor must reach Close on all paths",
+	Doc:  "every acquired rowset.Cursor or rowset.BatchCursor must reach Close on all paths",
 	Run:  runCursorClose,
 }
 
 type cursorSpec struct {
-	iface *types.Interface
+	ifaces []*types.Interface
 }
 
 func (cursorSpec) noun() string { return "cursor" }
@@ -38,7 +39,12 @@ func (s cursorSpec) acquires(p *analysis.Pass, call *ast.CallExpr, i int) bool {
 	if t == nil {
 		return false
 	}
-	return types.Implements(t, s.iface)
+	for _, iface := range s.ifaces {
+		if types.Implements(t, iface) {
+			return true
+		}
+	}
+	return false
 }
 
 func (cursorSpec) releases(_ *analysis.Pass, call *ast.CallExpr) []*ast.Ident {
@@ -57,10 +63,15 @@ func runCursorClose(p *analysis.Pass) error {
 	if !strings.HasPrefix(p.Pkg.Path(), "repro/internal/") {
 		return nil
 	}
-	iface := lookupInterface(p, "repro/internal/rowset", "Cursor")
-	if iface == nil {
+	var spec cursorSpec
+	for _, name := range []string{"Cursor", "BatchCursor"} {
+		if iface := lookupInterface(p, "repro/internal/rowset", name); iface != nil {
+			spec.ifaces = append(spec.ifaces, iface)
+		}
+	}
+	if len(spec.ifaces) == 0 {
 		return nil // package does not touch cursors
 	}
-	checkResourceFlow(p, cursorSpec{iface: iface})
+	checkResourceFlow(p, spec)
 	return nil
 }

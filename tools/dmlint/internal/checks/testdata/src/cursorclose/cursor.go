@@ -1,6 +1,6 @@
 // Package cursorfixture exercises the cursorclose analyzer: every
-// acquired rowset.Cursor must reach Close (or an ownership transfer) on
-// every path out of the function.
+// acquired rowset.Cursor or rowset.BatchCursor must reach Close (or an
+// ownership transfer) on every path out of the function.
 package cursorfixture
 
 import (
@@ -14,6 +14,10 @@ func open() rowset.Cursor { return nil }
 func openErr() (rowset.Cursor, error) { return nil, nil }
 
 func sink(c rowset.Cursor) {}
+
+func openBatch() rowset.BatchCursor { return nil }
+
+func batchSink(c rowset.BatchCursor) {}
 
 type holder struct {
 	cur rowset.Cursor
@@ -128,4 +132,37 @@ func goodLoopClose(items []int) error {
 func goodAllowed() {
 	c := open()
 	_ = c != nil
+}
+
+func leakBatchEarlyReturn(b bool) error {
+	c := openBatch()
+	if b {
+		return errors.New("early") // want "cursor c .*not released"
+	}
+	return c.Close()
+}
+
+func leakBatchAdapter(rs *rowset.Rowset) {
+	bc := rowset.BatchCursorOf(rs.Cursor())
+	_ = bc != nil
+} // want "cursor bc .*not released"
+
+func leakBatchDiscard() {
+	_ = openBatch() // want "cursor returned by this call is discarded"
+}
+
+func goodBatchDefer() error {
+	c := openBatch()
+	defer c.Close()
+	return nil
+}
+
+func goodBatchTransferArg() {
+	c := openBatch()
+	batchSink(c)
+}
+
+func goodBatchTransferReturn(rs *rowset.Rowset) rowset.BatchCursor {
+	bc := rowset.BatchCursorOf(rs.Cursor())
+	return bc
 }
